@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos check fmt vet bench bench-db bench-query bench-predict bench-retrain bench-cluster bench-load bench-kernels profile
+.PHONY: build test race chaos check fmt vet bench bench-db bench-query bench-predict bench-retrain bench-cluster bench-load bench-kernels profile perfbench
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,7 @@ race:
 		./internal/tensor ./internal/train ./internal/gnn ./internal/core \
 		./internal/baselines ./internal/chaos ./internal/serve \
 		./internal/feats ./internal/onnx ./internal/graphhash \
-		./internal/cluster ./internal/slo ./internal/workload
+		./internal/cluster ./internal/slo ./internal/workload ./internal/lru
 
 # End-to-end fault-injection storms (internal/chaos) with a pinned seed:
 # every fault mode plus the mixed fleet, under the race detector. Replay a
@@ -39,6 +39,17 @@ check: fmt vet build race test
 
 bench:
 	$(GO) test -bench . -benchtime 1x
+
+# The end-to-end benchmark (BENCHMARK.json, perfbench/README.md): client-seen
+# /query and /predict latency, CPU per request and live heap over loopback
+# HTTP, one untraced 30 s run per workload with every answer checked. Each
+# run prints its JSON result on stdout and a report on stderr. Pick another
+# arrival schedule with: make perfbench SEED=N
+SEED ?= 1
+perfbench:
+	@for w in query-repeat query-evolving predict-nas; do \
+		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds 30 --trace 0 || exit 1; \
+	done
 
 # Storage-engine baselines (EXPERIMENTS.md): group-commit insert throughput
 # per durability mode, the cache-hit read path, snapshot scans vs writers.

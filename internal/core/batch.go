@@ -147,7 +147,7 @@ func (p *Predictor) predictPacked(dst []float64, st *batchState, platform string
 	}
 	p.norm.ApplyX(x)
 
-	// One forward pass over the packed batch, mirroring embedInfer's
+	// One forward pass over the packed batch, mirroring embedFused's
 	// ablation switch.
 	sc := st.sc
 	var pooled *tensor.Matrix

@@ -146,7 +146,9 @@ func appendLatencyKey(dst []byte, modelID, platformID uint64, batch int) []byte 
 }
 
 // InsertModel stores a model (idempotently: an existing graph hash returns
-// the existing record).
+// the existing record). The lookup and the insert are not atomic, so a
+// concurrent first insert of the same graph can win the unique-index race;
+// the loser adopts the winner's row.
 func (s *Store) InsertModel(g *onnx.Graph) (*ModelRecord, error) {
 	key, err := graphhash.GraphKey(g)
 	if err != nil {
@@ -162,6 +164,12 @@ func (s *Store) InsertModel(g *onnx.Graph) (*ModelRecord, error) {
 		return nil, err
 	}
 	id, err := s.db.Insert(TableModel, Row{uint64(0), uint64(key), g.Name, g.Family, data})
+	var dup *UniqueViolationError
+	if errors.As(err, &dup) {
+		if rec, ok, rerr := s.FindModelByHash(key); rerr != nil || ok {
+			return rec, rerr
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +231,9 @@ func decodeModelRow(row Row) (*ModelRecord, bool, error) {
 	}, true, nil
 }
 
-// InsertPlatform registers a platform (idempotent on name).
+// InsertPlatform registers a platform (idempotent on name). As in
+// InsertModel, the loser of a concurrent first insert adopts the winner's
+// row.
 func (s *Store) InsertPlatform(name, hardware, software, dataType string) (*PlatformRecord, error) {
 	if rec, ok, err := s.FindPlatformByName(name); err != nil {
 		return nil, err
@@ -231,6 +241,12 @@ func (s *Store) InsertPlatform(name, hardware, software, dataType string) (*Plat
 		return rec, nil
 	}
 	id, err := s.db.Insert(TablePlatform, Row{uint64(0), name, hardware, software, dataType})
+	var dup *UniqueViolationError
+	if errors.As(err, &dup) {
+		if rec, ok, rerr := s.FindPlatformByName(name); rerr != nil || ok {
+			return rec, rerr
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if g.Family, err = readString(r); err != nil {
 		return nil, err
 	}
-	nin, err := readUvarint(r)
+	nin, err := readCount(r)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func DecodeBinary(data []byte) (*Graph, error) {
 		if g.Inputs[i].Name, err = readString(r); err != nil {
 			return nil, err
 		}
-		rank, err := readUvarint(r)
+		rank, err := readCount(r)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func DecodeBinary(data []byte) (*Graph, error) {
 			g.Inputs[i].Shape[d] = int(v)
 		}
 	}
-	nnodes, err := readUvarint(r)
+	nnodes, err := readCount(r)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func DecodeBinary(data []byte) (*Graph, error) {
 			return nil, err
 		}
 		n.Op = OpType(op)
-		numIn, err := readUvarint(r)
+		numIn, err := readCount(r)
 		if err != nil {
 			return nil, err
 		}
@@ -151,14 +151,14 @@ func DecodeBinary(data []byte) (*Graph, error) {
 				return nil, err
 			}
 		}
-		numAttrs, err := readUvarint(r)
+		numAttrs, err := readCount(r)
 		if err != nil {
 			return nil, err
 		}
 		if numAttrs > 0 {
 			n.Attrs = make(Attrs, numAttrs)
 		}
-		for j := uint64(0); j < numAttrs; j++ {
+		for j := 0; j < numAttrs; j++ {
 			key, err := readString(r)
 			if err != nil {
 				return nil, err
@@ -174,7 +174,7 @@ func DecodeBinary(data []byte) (*Graph, error) {
 					return nil, err
 				}
 			case AttrInts:
-				cnt, err := readUvarint(r)
+				cnt, err := readCount(r)
 				if err != nil {
 					return nil, err
 				}
@@ -201,7 +201,7 @@ func DecodeBinary(data []byte) (*Graph, error) {
 		}
 		g.Nodes[i] = n
 	}
-	nout, err := readUvarint(r)
+	nout, err := readCount(r)
 	if err != nil {
 		return nil, err
 	}
@@ -313,6 +313,21 @@ func writeString(buf *bytes.Buffer, s string) {
 
 func readUvarint(r *bytes.Reader) (uint64, error) {
 	return binary.ReadUvarint(r)
+}
+
+// readCount reads an element count. Every element takes at least one more
+// byte, so a count above the bytes remaining is corrupt; rejecting it here
+// keeps each allocation the count sizes proportional to the input, whatever
+// a hostile encoding claims.
+func readCount(r *bytes.Reader) (int, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.Len()) {
+		return 0, fmt.Errorf("onnx: count %d exceeds remaining %d bytes", n, r.Len())
+	}
+	return int(n), nil
 }
 
 func readString(r *bytes.Reader) (string, error) {

@@ -139,6 +139,27 @@ func (c *Cache) Get(k CacheKey) (CacheValue, bool, bool) {
 	return e.val, true, false
 }
 
+// GetHit is Get restricted to positive entries: a hit counts and refreshes
+// exactly as Get's does, while a negative entry or a miss returns false and
+// touches neither the LRU order nor any counter. A caller that falls back to
+// the full query path on false (which probes with Get) thus leaves every
+// counter as if it had never looked.
+func (c *Cache) GetHit(k CacheKey) (CacheValue, bool) {
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[k]
+	if !ok || e.negative {
+		return CacheValue{}, false
+	}
+	s.hits++
+	s.moveToFront(e)
+	return e.val, true
+}
+
+// Capacity returns the total number of entries the cache can hold.
+func (c *Cache) Capacity() int { return c.cap * len(c.shards) }
+
 // Peek reports whether k has a positive entry, without touching LRU order or
 // any counter — a read-only probe for callers (the active-measurement
 // scheduler) that must not distort serving statistics.

@@ -150,7 +150,7 @@ func TestNegativeSkipSkipsPlatformUpsert(t *testing.T) {
 	if _, pc, _ := s.Store().Counts(); pc != 0 {
 		t.Fatalf("platform rows = %d after negative-skip degraded answer, want 0 (durable upsert must honor the skip)", pc)
 	}
-	if want := hashCostSec(g) + l1CostSec + degradedCostSec; r.SimSeconds != want {
+	if want := hashCostSec(len(g.Nodes)) + l1CostSec + degradedCostSec; r.SimSeconds != want {
 		t.Fatalf("SimSeconds = %v, want %v (no database round trip priced)", r.SimSeconds, want)
 	}
 
@@ -169,7 +169,7 @@ func TestNegativeSkipSkipsPlatformUpsert(t *testing.T) {
 	if _, pc, lc := s2.Store().Counts(); pc != 1 || lc != 1 {
 		t.Fatalf("store rows = %d platforms / %d latencies, want 1/1", pc, lc)
 	}
-	if want := hashCostSec(g) + l1CostSec + 100 + dbCostSec; r2.SimSeconds != want {
+	if want := hashCostSec(len(g.Nodes)) + l1CostSec + 100 + dbCostSec; r2.SimSeconds != want {
 		t.Fatalf("SimSeconds = %v, want %v (one priced round trip for the deferred upsert+write)", r2.SimSeconds, want)
 	}
 	checkInvariant(t, s2)

@@ -330,8 +330,8 @@ type Result struct {
 // hashCostSec prices graph hashing on the virtual clock ("the query
 // requires calculating the graph hashing using CPU"): a fixed parse cost
 // plus per-node work.
-func hashCostSec(g *onnx.Graph) float64 {
-	return 0.6 + 0.004*float64(len(g.Nodes))
+func hashCostSec(nodes int) float64 {
+	return 0.6 + 0.004*float64(nodes)
 }
 
 // dbCostSec prices the remote database round trip.
@@ -375,18 +375,10 @@ func (s *System) Query(ctx context.Context, g *onnx.Graph, platform string) (*Re
 	// is always backed by a database row.
 	v, l1hit, negSkip := s.cache.Get(ck)
 	if l1hit {
-		s.count(func(st *Stats) {
-			st.Hits++
-			st.L1Hits++
-		})
-		return &Result{
-			LatencyMS: v.LatencyMS, Hit: true, Provenance: "cache", Tier: "l1",
-			ModelID: v.ModelID, PlatformID: v.PlatformID,
-			SimSeconds: hashCostSec(g) + l1CostSec,
-		}, nil
+		return s.l1Result(v, len(g.Nodes)), nil
 	}
 
-	res := &Result{SimSeconds: hashCostSec(g) + l1CostSec}
+	res := &Result{SimSeconds: hashCostSec(len(g.Nodes)) + l1CostSec}
 
 	// L2 tier: the durable store. An un-expired negative L1 entry means the
 	// database was recently confirmed empty for this key, so a miss storm
@@ -508,6 +500,34 @@ func (s *System) Query(ctx context.Context, g *onnx.Graph, platform string) (*Re
 		}
 	})
 	return res, nil
+}
+
+// QueryL1 answers a query from the L1 tier alone, for a caller that already
+// holds the graph's structural key, batch size and node count (the server's
+// wire memo, which keeps them per request body) and has checked that
+// platform names a known platform. A hit is counted and priced exactly as
+// Query's L1 hit. Anything else reports false and touches no counter, so
+// the caller can fall back to Query as if it had never probed.
+func (s *System) QueryL1(key graphhash.Key, platform string, batch, nodes int) (*Result, bool) {
+	v, ok := s.cache.GetHit(CacheKey{Hash: key, Platform: platform, Batch: batch})
+	if !ok {
+		return nil, false
+	}
+	return s.l1Result(v, nodes), true
+}
+
+// l1Result counts and prices an L1 hit on a graph of the given node count:
+// the one place both Query and QueryL1 answer from process memory.
+func (s *System) l1Result(v CacheValue, nodes int) *Result {
+	s.count(func(st *Stats) {
+		st.Hits++
+		st.L1Hits++
+	})
+	return &Result{
+		LatencyMS: v.LatencyMS, Hit: true, Provenance: "cache", Tier: "l1",
+		ModelID: v.ModelID, PlatformID: v.PlatformID,
+		SimSeconds: hashCostSec(nodes) + l1CostSec,
+	}
 }
 
 // platformID resolves (registering on first sight) the platform's row id,

@@ -17,6 +17,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -53,6 +54,7 @@ type Server struct {
 	meas    *MeasurementRole
 	sys     *query.System
 	memo    *core.PredictMemo
+	wire    *wireMemo // nil = every request takes the decode path
 	engine  *serve.Engine
 	mu      sync.RWMutex
 	batch   *batcher   // nil = /predict answers each request individually
@@ -83,6 +85,7 @@ func NewCore(storage *StorageRole, meas *MeasurementRole, pred *core.Predictor) 
 		meas:           meas,
 		sys:            query.NewWith(storage.Store(), meas.Farm(), storage.Cache()),
 		memo:           core.NewPredictMemo(0),
+		wire:           newWireMemo(storage.Cache().Capacity()),
 		engine:         serve.NewEngine(pred),
 		RequestTimeout: DefaultRequestTimeout,
 		ShutdownGrace:  DefaultShutdownGrace,
@@ -457,30 +460,23 @@ func decodeModel(req *Request) (*onnx.Graph, error) {
 	return g, nil
 }
 
-func readRequest(w http.ResponseWriter, r *http.Request) (*Request, *onnx.Graph, bool) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return nil, nil, false
-	}
-	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
-		return nil, nil, false
-	}
-	if req.Platform == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("platform required"))
-		return nil, nil, false
-	}
-	g, err := decodeModel(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return nil, nil, false
-	}
-	return &req, g, true
-}
-
+// handleQuery answers /query. A body the wire memo has seen goes straight to
+// the L1 probe; only an L1 miss (or a body never seen) pays the decode path,
+// which then runs the query exactly as if the probe had not happened.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, g, ok := readRequest(w, r)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	defer releaseBody(body)
+	d := sha256.Sum256(body.Bytes())
+	if e, ok := s.wire.get(d); ok {
+		if res, ok := s.sys.QueryL1(e.key, e.platform, e.batch, e.nodes); ok {
+			writeQuery(w, res)
+			return
+		}
+	}
+	req, g, ok := s.decodeBody(w, body.Bytes(), d)
 	if !ok {
 		return
 	}
@@ -489,6 +485,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusForError(err), err)
 		return
 	}
+	writeQuery(w, res)
+}
+
+func writeQuery(w http.ResponseWriter, res *query.Result) {
 	writeJSON(w, http.StatusOK, QueryResponse{
 		LatencyMS: res.LatencyMS, CacheHit: res.Hit, Coalesced: res.Coalesced,
 		Degraded: res.Degraded, Provenance: res.Provenance, Tier: res.Tier,
@@ -498,10 +498,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handlePredict answers /predict. A body the wire memo has seen yields the
+// prediction-memo key without a graph; the graph is decoded only when the
+// memo has no answer under the live generation. Either way the prediction
+// memo is probed once.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req, g, ok := readRequest(w, r)
+	body, ok := readBody(w, r)
 	if !ok {
 		return
+	}
+	defer releaseBody(body)
+	d := sha256.Sum256(body.Bytes())
+	e, known := s.wire.get(d)
+	var g *onnx.Graph
+	if !known {
+		var req *Request
+		if req, g, ok = s.decodeBody(w, body.Bytes(), d); !ok {
+			return
+		}
+		e.platform = req.Platform
 	}
 	// One engine snapshot yields a consistent (predictor, generation) pair:
 	// a hot-swap racing this request either lands entirely before the load
@@ -521,14 +536,24 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// different key; the generation must be read before predicting so a
 	// fine-tune racing this request lands the result under the old (and
 	// therefore unreachable) generation rather than masquerading as fresh.
-	key, err := graphhash.GraphKey(g)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	if !known {
+		var err error
+		if e.key, err = graphhash.GraphKey(g); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 	}
-	if v, ok := s.memo.Get(uint64(key), req.Platform, gen); ok {
+	if v, ok := s.memo.Get(uint64(e.key), e.platform, gen); ok {
 		writeJSON(w, http.StatusOK, PredictResponse{LatencyMS: v, Memoized: true, Generation: gen})
 		return
+	}
+	if g == nil {
+		// A known body the memo cannot answer (a new generation, or an
+		// evicted entry): decode it after all. It decoded before, so this
+		// can fail only as it would have without the wire memo.
+		if _, g, ok = s.decodeBody(w, body.Bytes(), d); !ok {
+			return
+		}
 	}
 	if bt != nil {
 		// Extraction failures are request-shaped, so they 400 here — before
@@ -538,7 +563,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		j := bt.enqueue(pred, gen, req.Platform, uint64(key), gf)
+		j := bt.enqueue(pred, gen, e.platform, uint64(e.key), gf)
 		select {
 		case out := <-j.done:
 			if out.err != nil {
@@ -556,7 +581,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	v, err := pred.Predict(g, req.Platform)
+	v, err := pred.Predict(g, e.platform)
 	if err != nil {
 		// Predictor errors are request-shaped (unknown platform head, graph
 		// the feature extractor rejects) — the caller must change the
@@ -564,7 +589,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.memo.Put(uint64(key), req.Platform, gen, v)
+	s.memo.Put(uint64(e.key), e.platform, gen, v)
 	writeJSON(w, http.StatusOK, PredictResponse{LatencyMS: v, Generation: gen})
 }
 
